@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test tier1 vet race bench perf perf-shards sweep cover lint inventory check smoke fuzz stress clean
+.PHONY: all build test tier1 vet race bench perf perf-shards sweep cover lint check smoke fuzz stress clean
 
 all: tier1
 
@@ -20,33 +20,32 @@ vet:
 
 # lint runs go vet plus the repo's own analyzer suite (cmd/dirccvet:
 # simdet, maprange, probeguard, shardsafe, laneguard, plus the
-# allocguard escape gate over //dirccvet:hotpath functions).
+# allocguard escape gate over //dirccvet:hotpath functions). The
+# analyzers' own tests run under both type-alias representations
+# (gotypesalias=0 and =1), so a *types.Named match that misses an
+# alias fails here instead of silently dropping findings.
 # staticcheck and govulncheck also run when installed — CI installs
 # them; offline dev boxes may not have them, so their absence is not an
 # error here.
 lint: vet
 	$(GO) run ./cmd/dirccvet ./...
+	GODEBUG=gotypesalias=0 $(GO) test -count=1 ./internal/lint
+	GODEBUG=gotypesalias=1 $(GO) test -count=1 ./internal/lint
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "lint: staticcheck not installed, skipping"; fi
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; else echo "lint: govulncheck not installed, skipping"; fi
 
-# inventory emits laneguard's per-engine cross-lane touch-point
-# work-list as JSON. Since the chain/tree restructure all engines
-# certify shard-safe, so the expected output is empty touch-point
-# lists; any entry here is a regression (TestLaneGuardInventory pins
-# this). A report, not a gate.
-inventory:
-	$(GO) run ./cmd/dirccvet -mode inventory -json ./... > lane-inventory.json
-	@echo "inventory: wrote lane-inventory.json"
-
 # check runs the exhaustive model checker over every protocol engine
-# (internal/check: all interleavings of the tiny-config grid, plus the
-# mutation self-tests that prove the checker catches a seeded
-# protocol bug and the lane-partition audit catches a wrong-lane
-# mutation), the time-boxed differential fuzz smoke tier, and the
-# sharded-kernel large-machine smoke (P=256 on 8 shards,
-# byte-identical to sequential).
+# (internal/check: all interleavings of the tiny-config grid, each
+# config's state/transition/terminal/depth counts compared with the
+# pinned table, plus the mutation self-tests that prove the checker
+# catches a seeded tree bug and a Dir_iB that drops its broadcast bit,
+# and the lane-partition audit catches a wrong-lane mutation), the
+# time-boxed differential fuzz smoke tier, and the sharded-kernel
+# large-machine smoke (P=256 on 8 shards, byte-identical to
+# sequential).
 check: smoke
 	$(GO) test ./internal/check -v -run 'TestExhaustive|TestMutationCaught|TestLaneMutantCaught'
+	$(GO) test ./internal/protocol/limited -v -run 'TestBroadcastMutantCaught'
 	$(GO) test . -v -run 'TestShardedLargeP'
 
 # smoke is the differential fuzzer's CI tier: 200 seed-derived
@@ -115,4 +114,4 @@ cover:
 
 # clean removes generated artifacts.
 clean:
-	rm -f coverage.out bench.out dirccvet.sarif lane-inventory.json
+	rm -f coverage.out bench.out dirccvet.sarif

@@ -15,9 +15,10 @@
 // per-interval counters CSV. -watchdog N dumps the machine state to
 // stderr when no processor makes progress for N cycles (-watchdog-json
 // switches the dump to one JSON object, and a fired watchdog makes the
-// command exit 2). -attrib prints the per-transaction latency
-// attribution (phase breakdown, critical path, invalidation-wave
-// structure). -json prints the result as JSON instead of text.
+// command exit 2, as a bad flag value does). -attrib prints the
+// per-transaction latency attribution (phase breakdown, critical path,
+// invalidation-wave structure). -json prints the result as JSON
+// instead of text.
 //
 // With -shards N (N>1) the run uses the deterministic parallel kernel;
 // -kprof then prints the kernel profile (per-lane busy/idle, wave
@@ -64,6 +65,12 @@ func main() {
 	kprofTrace := flag.String("kprof-trace", "", "write the kernel lane timeline as a Chrome trace here (needs -shards > 1)")
 	explainShards := flag.Bool("explain-shards", false, "print the shard plan (effective shard count and fallback reason) and exit without running")
 	flag.Parse()
+
+	if *shards < 1 {
+		fmt.Fprintf(os.Stderr, "coherencesim: -shards must be at least 1 (got %d)\n", *shards)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	var oc *dircc.ObsConfig
 	if *traceOut != "" || *timeseries != "" || *watchdog > 0 || *attribOut {

@@ -1,16 +1,10 @@
 // Command dirccvet runs the repository's custom static analyzers
 // (simdet, maprange, probeguard, shardsafe, laneguard, allocguard — see
 // internal/lint) over the given package patterns, defaulting to ./... .
+// It prints every finding that survives the //dirccvet:allow
+// suppressions and exits 1 if there is any.
 //
-// Modes:
-//
-//	dirccvet [flags] [patterns]          gate mode: print findings,
-//	                                     exit 1 if any survive the
-//	                                     //dirccvet:allow suppressions
-//	dirccvet -mode inventory [patterns]  laneguard inventory: the
-//	                                     per-engine cross-lane
-//	                                     touch-point work-list (exit 0;
-//	                                     it is a report, not a gate)
+//	dirccvet [flags] [patterns]
 //
 // Flags:
 //
@@ -31,10 +25,9 @@ import (
 )
 
 func main() {
-	mode := flag.String("mode", "gate", "gate or inventory")
 	jsonOut := flag.Bool("json", false, "emit JSON output")
 	sarifOut := flag.String("sarif", "", "write SARIF 2.1.0 findings to this file (\"-\" for stdout)")
-	alloc := flag.Bool("alloc", true, "run the allocguard escape-analysis pass (gate mode)")
+	alloc := flag.Bool("alloc", true, "run the allocguard escape-analysis pass")
 	flag.Parse()
 
 	patterns := flag.Args()
@@ -46,16 +39,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dirccvet:", err)
 		os.Exit(2)
 	}
-
-	switch *mode {
-	case "inventory":
-		runInventory(pkgs, *jsonOut)
-	case "gate":
-		runGate(pkgs, *jsonOut, *sarifOut, *alloc)
-	default:
-		fmt.Fprintf(os.Stderr, "dirccvet: unknown -mode %q (want gate or inventory)\n", *mode)
-		os.Exit(2)
-	}
+	runGate(pkgs, *jsonOut, *sarifOut, *alloc)
 }
 
 func runGate(pkgs []*lint.Package, jsonOut bool, sarifPath string, alloc bool) {
@@ -120,28 +104,5 @@ func runGate(pkgs []*lint.Package, jsonOut bool, sarifPath string, alloc bool) {
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "dirccvet: %d finding(s)\n", len(diags))
 		os.Exit(1)
-	}
-}
-
-func runInventory(pkgs []*lint.Package, jsonOut bool) {
-	inv := lint.Inventory(pkgs)
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(inv); err != nil {
-			fmt.Fprintln(os.Stderr, "dirccvet:", err)
-			os.Exit(2)
-		}
-		return
-	}
-	for _, e := range inv {
-		status := "cross-lane touch points"
-		if e.ShardSafe {
-			status = "certified shard-safe"
-		}
-		fmt.Printf("%s %s: %d %s\n", e.Package, e.Engine, len(e.TouchPoints), status)
-		for _, tp := range e.TouchPoints {
-			fmt.Printf("  %s:%d: [%s] %s\n", tp.File, tp.Line, tp.Func, tp.Reason)
-		}
 	}
 }

@@ -69,8 +69,10 @@ func main() {
 	flag.Parse()
 
 	if *shards < 1 {
-		fmt.Fprintf(os.Stderr, "sweep: -shards must be at least 1 (got %d)\n", *shards)
-		os.Exit(1)
+		usageError("-shards must be at least 1 (got %d)", *shards)
+	}
+	if *jobs < 0 {
+		usageError("-j must be 0 (GOMAXPROCS/shards) or positive (got %d)", *jobs)
 	}
 	// Two multiplicative levels of parallelism: -j experiments, each up
 	// to -shards OS threads. Default -j so j*shards ~ GOMAXPROCS; an
@@ -482,4 +484,12 @@ func orDefault(s, def string) string {
 		return def
 	}
 	return s
+}
+
+// usageError reports a bad flag value with the usage text and exits 2,
+// as the flag package does for a flag it cannot parse.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "sweep: "+format+"\n", args...)
+	flag.Usage()
+	os.Exit(2)
 }

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"errors"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
@@ -61,6 +64,31 @@ func TestTraceAttribNeverFallBack(t *testing.T) {
 		}
 		if plan.Fallback() || plan.ReasonToken != "ok" {
 			t.Errorf("obs %+v: plan %+v would trigger the per-run fallback warning", oc, plan)
+		}
+	}
+}
+
+// TestBadFlagsExitUsage re-runs the test binary as the command with
+// flag values it must refuse: each must exit 2 with the usage text
+// before running anything. The grid is kept tiny so a regression that
+// accepts the value finishes quickly and fails on the exit code.
+func TestBadFlagsExitUsage(t *testing.T) {
+	if args := os.Getenv("SWEEP_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"sweep"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	for _, bad := range []string{"-j -2", "-shards -3"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestBadFlagsExitUsage$")
+		cmd.Env = append(os.Environ(), "SWEEP_TEST_ARGS="+bad+" -apps fft -schemes fm -procs 8")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("sweep %s: got %v, want exit status 2\n%s", bad, err, out)
+		}
+		flagName := strings.Fields(bad)[0]
+		if !strings.Contains(string(out), "sweep: "+flagName+" must be") || !strings.Contains(string(out), "Usage of") {
+			t.Errorf("sweep %s: no error and usage text in output:\n%s", bad, out)
 		}
 	}
 }

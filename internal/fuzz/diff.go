@@ -7,7 +7,6 @@ import (
 	"dircc/internal/core"
 	"dircc/internal/protocol/fullmap"
 	"dircc/internal/protocol/limited"
-	"dircc/internal/protocol/limitless"
 	"dircc/internal/protocol/list"
 	"dircc/internal/protocol/stp"
 )
@@ -28,7 +27,7 @@ func AllEngines() []NamedEngine {
 	return []NamedEngine{
 		{"fm", func() coherent.Engine { return fullmap.New() }},
 		{"Dir2B", func() coherent.Engine { return limited.NewB(2) }},
-		{"LimitLESS4", func() coherent.Engine { return limitless.New(4) }},
+		{"LimitLESS4", func() coherent.Engine { return limited.NewLimitLESS(4) }},
 		{"sci", func() coherent.Engine { return list.NewSCI() }},
 		{"stp", func() coherent.Engine { return stp.New() }},
 		{"Dir4Tree2", func() coherent.Engine { return core.New(4, 2) }},

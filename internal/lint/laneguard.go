@@ -41,12 +41,9 @@ package lint
 // rooted path is propagated to call sites instead of reported, through a
 // fixpoint so helper→helper chains resolve.
 //
-// Two modes share the machinery. Gating: the LaneGuard analyzer reports
-// findings only in packages that declare a ShardSafeEngine marker — the
-// engines that actually run on the sharded kernel must certify clean.
-// Inventory: Inventory() returns every finding for every engine package
-// as a structured cross-lane touch-point list (the work-list for
-// parallelizing the chain/tree families, ROADMAP item 1).
+// The LaneGuard analyzer reports findings only in packages that declare
+// a ShardSafeEngine marker — the engines that actually run on the
+// sharded kernel must certify clean.
 
 import (
 	"fmt"
@@ -70,79 +67,12 @@ func runLaneGuard(p *Pass) {
 		return // the machine façade itself owns cross-lane plumbing
 	}
 	if !declaresShardSafeEngine(p.Pkg) {
-		return // inventory-only package; see Inventory()
+		return // never runs on the sharded kernel
 	}
 	la := newLaneAnalysis(p.Fset, p.Files, p.Pkg, p.Info)
 	for _, f := range la.run() {
 		p.Reportf(f.pos, "%s", f.msg)
 	}
-}
-
-// TouchPoint is one cross-lane access in an engine's handler-reachable
-// code: the concrete work item that must move behind the façade (or be
-// re-homed) before that engine can run sharded.
-type TouchPoint struct {
-	File   string `json:"file"`
-	Line   int    `json:"line"`
-	Func   string `json:"func"`
-	Reason string `json:"reason"`
-}
-
-// EngineInventory is the per-engine cross-lane touch-point list.
-// ShardSafe engines are included with empty lists: the certification is
-// part of the inventory.
-type EngineInventory struct {
-	Package     string       `json:"package"`
-	Engine      string       `json:"engine"`
-	ShardSafe   bool         `json:"shard_safe"`
-	TouchPoints []TouchPoint `json:"touch_points"`
-}
-
-// Inventory runs laneguard over every package that declares a coherence
-// engine (a type with all five handler methods) and returns the
-// per-engine touch-point lists. Allow comments do not apply here: the
-// inventory is a work-list, not a gate.
-func Inventory(pkgs []*Package) []EngineInventory {
-	var out []EngineInventory
-	for _, pkg := range pkgs {
-		if pkg.Types.Path() == coherentPath {
-			continue
-		}
-		la := newLaneAnalysis(pkg.Fset, pkg.Files, pkg.Types, pkg.Info)
-		if len(la.engines) == 0 {
-			continue
-		}
-		safe := declaresShardSafeEngine(pkg.Types)
-		findings := la.run()
-		for _, eng := range la.engineNames() {
-			inv := EngineInventory{
-				Package:     pkg.Types.Path(),
-				Engine:      eng,
-				ShardSafe:   safe,
-				TouchPoints: []TouchPoint{},
-			}
-			for _, f := range findings {
-				if f.engine != eng {
-					continue
-				}
-				pos := pkg.Fset.Position(f.pos)
-				inv.TouchPoints = append(inv.TouchPoints, TouchPoint{
-					File:   pos.Filename,
-					Line:   pos.Line,
-					Func:   f.fn,
-					Reason: f.msg,
-				})
-			}
-			out = append(out, inv)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Package != out[j].Package {
-			return out[i].Package < out[j].Package
-		}
-		return out[i].Engine < out[j].Engine
-	})
-	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -172,7 +102,6 @@ var safeMachineMethods = map[string]bool{
 type laneFinding struct {
 	engine string
 	pos    token.Pos
-	fn     string
 	msg    string
 }
 
@@ -299,7 +228,7 @@ func (la *laneAnalysis) collectMetaTypes(f *ast.File) {
 			}
 			break
 		}
-		if n, ok := t.(*types.Named); ok {
+		if n, ok := types.Unalias(t).(*types.Named); ok {
 			if _, isStruct := n.Underlying().(*types.Struct); isStruct {
 				la.metaTypes[n] = true
 			}
@@ -461,14 +390,14 @@ func (la *laneAnalysis) typeOf(e ast.Expr) types.Type {
 	return nil
 }
 
-func (la *laneAnalysis) report(engine string, fn string, pos token.Pos, format string, args ...any) {
+func (la *laneAnalysis) report(engine string, pos token.Pos, format string, args ...any) {
 	msg := fmt.Sprintf(format, args...)
 	key := fmt.Sprintf("%s|%d|%s", engine, pos, msg)
 	if la.seen[key] {
 		return
 	}
 	la.seen[key] = true
-	la.findings = append(la.findings, laneFinding{engine: engine, pos: pos, fn: fn, msg: msg})
+	la.findings = append(la.findings, laneFinding{engine: engine, pos: pos, msg: msg})
 }
 
 func paramNames(decl *ast.FuncDecl) []string {
@@ -594,7 +523,7 @@ func (fa *funcAnalysis) funcName() string {
 }
 
 func (fa *funcAnalysis) reportf(pos token.Pos, format string, args ...any) {
-	fa.la.report(fa.engine, fa.funcName(), pos, format, args...)
+	fa.la.report(fa.engine, pos, format, args...)
 }
 
 // failResidency handles a failed residency check on value v at pos.
@@ -1321,7 +1250,7 @@ func (fa *funcAnalysis) isMetaType(t types.Type) bool {
 		}
 		break
 	}
-	n, ok := t.(*types.Named)
+	n, ok := types.Unalias(t).(*types.Named)
 	return ok && fa.la.metaTypes[n]
 }
 
@@ -1333,7 +1262,7 @@ func typeName(t types.Type) string {
 		}
 		break
 	}
-	if n, ok := t.(*types.Named); ok {
+	if n, ok := types.Unalias(t).(*types.Named); ok {
 		return n.Obj().Name()
 	}
 	return t.String()
@@ -1364,7 +1293,7 @@ func (fa *funcAnalysis) checkEngineMapField(sel *ast.SelectorExpr, e env) {
 		}
 		break
 	}
-	n, ok := bt.(*types.Named)
+	n, ok := types.Unalias(bt).(*types.Named)
 	if !ok || n.Obj().Pkg() != fa.la.pkg {
 		return
 	}
@@ -1411,7 +1340,7 @@ func (fa *funcAnalysis) checkEngineSliceIndex(ix *ast.IndexExpr, e env) {
 		}
 		break
 	}
-	n, ok := bt.(*types.Named)
+	n, ok := types.Unalias(bt).(*types.Named)
 	if !ok || n.Obj().Pkg() != fa.la.pkg {
 		return
 	}
@@ -1715,7 +1644,7 @@ func isNodeIDType(t types.Type) bool {
 	if t == nil {
 		return false
 	}
-	n, ok := t.(*types.Named)
+	n, ok := types.Unalias(t).(*types.Named)
 	if !ok {
 		return false
 	}

@@ -156,7 +156,7 @@ func isMachine(t types.Type) bool {
 	if ptr, ok := t.Underlying().(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
-	named, ok := t.(*types.Named)
+	named, ok := types.Unalias(t).(*types.Named)
 	if !ok {
 		return false
 	}
@@ -175,7 +175,7 @@ func declaresShardSafeEngine(pkg *types.Package) bool {
 		if !ok {
 			continue
 		}
-		named, ok := tn.Type().(*types.Named)
+		named, ok := types.Unalias(tn.Type()).(*types.Named)
 		if !ok {
 			continue
 		}

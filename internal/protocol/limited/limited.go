@@ -1,24 +1,54 @@
-// Package limited implements the limited directory protocols Dir_iNB
-// and Dir_iB: each block's home holds at most i node pointers.
+// Package limited implements the bounded-pointer directory protocols:
+// each block's home holds at most i node pointers. The schemes differ
+// only in what the home does when a read finds all i pointers in use.
 //
-// Dir_iNB (non-broadcast) handles pointer overflow by evicting one of
-// the recorded copies: the home invalidates a round-robin victim
-// pointer, waits for its acknowledgment, and installs the requester in
-// the freed slot. This performs poorly when more than i processors
-// actively share a block — the "unnecessary invalidations and read
-// misses" cost of the paper's Table 1.
+// Dir_iNB (non-broadcast) evicts one of the recorded copies: the home
+// invalidates a round-robin victim pointer, waits for its
+// acknowledgment, and installs the requester in the freed slot. This
+// performs poorly when more than i processors actively share a block —
+// the "unnecessary invalidations and read misses" cost of the paper's
+// Table 1.
 //
 // Dir_iB (broadcast) instead sets an overflow bit; a subsequent write
 // miss must broadcast invalidations to every node in the machine and
 // collect n-1 acknowledgments.
+//
+// LimitLESS_i (Chaiken, Kubiatowicz and Agarwal, ASPLOS-IV 1991)
+// interrupts the processor at the home, which spills the excess
+// pointer to a software-managed table in normal memory. Every sharer
+// stays recorded, as under the full map, but each trap to software
+// costs trapCycles at the home: once when a pointer spills and again
+// when a write miss must consult the software table to invalidate the
+// spilled sharers. That software-handler delay is the disadvantage the
+// paper cites ("2P+2 plus (P-4) software handler delay" for
+// LimitLESS_4).
 package limited
 
 import (
 	"fmt"
+	"slices"
 
 	"dircc/internal/cache"
 	"dircc/internal/coherent"
+	"dircc/internal/sim"
+	"dircc/internal/treemath"
 )
+
+// policy is what the home does on pointer overflow.
+type policy uint8
+
+const (
+	evictVictim  policy = iota // Dir_iNB
+	setBroadcast               // Dir_iB
+	trapSoftware               // LimitLESS_i
+)
+
+// trapCycles is the software-handler cost charged per LimitLESS
+// directory trap (pointer spill, or reading the spilled set on a write
+// miss). LimitLESS on Alewife reported full-map-normalized overheads
+// consistent with a few tens of cycles per trap on a 33 MHz Sparcle;
+// 50 cycles is a representative value at this simulator's scale.
+const trapCycles sim.Time = 50
 
 type dirState uint8
 
@@ -42,7 +72,8 @@ func (s dirState) String() string {
 
 type entry struct {
 	state     dirState
-	ptrs      []coherent.NodeID // at most i recorded sharers
+	ptrs      []coherent.NodeID // at most i hardware pointers
+	sw        []coherent.NodeID // LimitLESS software-spilled pointers, sorted
 	owner     coherent.NodeID
 	broadcast bool // Dir_iB overflow bit
 	rr        int  // Dir_iNB round-robin eviction cursor
@@ -65,32 +96,38 @@ type pending struct {
 	acksLeft int
 }
 
-// Engine implements Dir_iNB or Dir_iB for one machine.
+// Engine implements Dir_iNB, Dir_iB or LimitLESS_i for one machine.
 type Engine struct {
-	ptrs      int
-	broadcast bool
-	m         *coherent.Machine
+	ptrs   int
+	policy policy
+	trap   sim.Time // LimitLESS software-handler cost per trap
+	m      *coherent.Machine
 }
 
-// NewNB returns a Dir_iNB engine with the given pointer count.
-func NewNB(i int) *Engine {
+func newEngine(i int, p policy) *Engine {
 	if i < 1 {
 		panic(fmt.Sprintf("limited: need at least 1 pointer, got %d", i))
 	}
-	return &Engine{ptrs: i}
+	return &Engine{ptrs: i, policy: p, trap: trapCycles}
 }
+
+// NewNB returns a Dir_iNB engine with the given pointer count.
+func NewNB(i int) *Engine { return newEngine(i, evictVictim) }
 
 // NewB returns a Dir_iB engine with the given pointer count.
-func NewB(i int) *Engine {
-	e := NewNB(i)
-	e.broadcast = true
-	return e
-}
+func NewB(i int) *Engine { return newEngine(i, setBroadcast) }
 
-// Name implements coherent.Engine ("Dir4NB", "Dir2B", ...).
+// NewLimitLESS returns a LimitLESS_i engine with the given hardware
+// pointer count.
+func NewLimitLESS(i int) *Engine { return newEngine(i, trapSoftware) }
+
+// Name implements coherent.Engine ("Dir4NB", "Dir2B", "LimitLESS4", ...).
 func (e *Engine) Name() string {
-	if e.broadcast {
+	switch e.policy {
+	case setBroadcast:
 		return fmt.Sprintf("Dir%dB", e.ptrs)
+	case trapSoftware:
+		return fmt.Sprintf("LimitLESS%d", e.ptrs)
 	}
 	return fmt.Sprintf("Dir%dNB", e.ptrs)
 }
@@ -123,7 +160,8 @@ func (en *entry) recorded(n coherent.NodeID) bool {
 			return true
 		}
 	}
-	return false
+	_, found := slices.BinarySearch(en.sw, n)
+	return found
 }
 
 func (en *entry) drop(n coherent.NodeID) {
@@ -132,6 +170,9 @@ func (en *entry) drop(n coherent.NodeID) {
 			en.ptrs = append(en.ptrs[:i], en.ptrs[i+1:]...)
 			return
 		}
+	}
+	if i, found := slices.BinarySearch(en.sw, n); found {
+		en.sw = slices.Delete(en.sw, i, i+1)
 	}
 }
 
@@ -179,19 +220,27 @@ func (e *Engine) HomeRequest(m *coherent.Machine, msg *coherent.Msg) {
 }
 
 // admitRead records the requester, handling pointer overflow per the
-// scheme variant, then serves the data.
+// engine's policy, then serves the data.
 func (e *Engine) admitRead(m *coherent.Machine, en *entry, msg *coherent.Msg) {
 	b := msg.Block
 	home := m.Home(b)
+	trap := sim.Time(0)
 	switch {
 	case en.recorded(msg.Requester):
 		// Re-read after a silent replacement; pointer already present.
 	case len(en.ptrs) < e.ptrs:
 		en.ptrs = append(en.ptrs, msg.Requester)
-	case e.broadcast:
+	case e.policy == setBroadcast:
 		// Dir_iB: set the overflow bit; the copy is unrecorded.
 		en.broadcast = true
-		m.CtrAt(home).PointerEvicts++ // counts overflow events for both variants
+		m.CtrAt(home).PointerEvicts++ // counts overflow events for every policy
+	case e.policy == trapSoftware:
+		// LimitLESS: the home's processor traps to software and spills
+		// the new pointer.
+		i, _ := slices.BinarySearch(en.sw, msg.Requester)
+		en.sw = slices.Insert(en.sw, i, msg.Requester)
+		m.CtrAt(home).PointerEvicts++
+		trap = e.trap
 	default:
 		// Dir_iNB: invalidate a round-robin victim pointer first.
 		victim := en.ptrs[en.rr%len(en.ptrs)]
@@ -205,14 +254,20 @@ func (e *Engine) admitRead(m *coherent.Machine, en *entry, msg *coherent.Msg) {
 		})
 		return
 	}
-	e.serveRead(m, en, msg)
-}
-
-func (e *Engine) serveRead(m *coherent.Machine, en *entry, msg *coherent.Msg) {
-	b := msg.Block
 	if en.state == uncached {
 		en.state = shared
 	}
+	if e.policy != trapSoftware {
+		e.serveRead(m, msg)
+		return
+	}
+	// The reply waits for the home's software handler; with nothing
+	// spilled this is still a zero-cycle hop through the home.
+	m.ScheduleAt(home, trap, func() { e.serveRead(m, msg) })
+}
+
+func (e *Engine) serveRead(m *coherent.Machine, msg *coherent.Msg) {
+	b := msg.Block
 	m.ReadMem(b, func() {
 		m.Send(&coherent.Msg{
 			Type: coherent.MsgDataReply, Src: m.Home(b), Dst: msg.Requester, Block: b,
@@ -222,40 +277,66 @@ func (e *Engine) serveRead(m *coherent.Machine, en *entry, msg *coherent.Msg) {
 	})
 }
 
-// startInvalidation launches the write-miss invalidation round.
+// startInvalidation launches the write-miss invalidation round: the
+// recorded pointers, every node once Dir_iB's overflow bit is set, or
+// under LimitLESS every recorded sharer in node order. Consulting the
+// LimitLESS software table costs one trap plus a per-spilled-pointer
+// charge — the "(P-4) software handler delay" of the paper's Table 1.
 func (e *Engine) startInvalidation(m *coherent.Machine, en *entry, msg *coherent.Msg) {
 	b := msg.Block
 	home := m.Home(b)
 	pend := &pending{req: msg, stage: stageInv, wbFrom: coherent.NoNode}
 	en.pend = pend
-	if en.broadcast {
-		m.CtrAt(home).Broadcasts++
-		for n := 0; n < m.Cfg.Procs; n++ {
-			if coherent.NodeID(n) == msg.Requester {
-				continue
-			}
-			pend.acksLeft++
-			m.CtrAt(home).Invalidations++
-			m.Send(&coherent.Msg{
-				Type: coherent.MsgInv, Src: home, Dst: coherent.NodeID(n), Block: b,
-				Requester: msg.Requester, Aux: coherent.NoNode,
-			})
+	targets := en.ptrs
+	delay := sim.Time(0)
+	switch {
+	case e.policy == trapSoftware:
+		targets = slices.Concat(en.ptrs, en.sw)
+		slices.Sort(targets)
+		spilled := len(en.sw)
+		if _, found := slices.BinarySearch(en.sw, msg.Requester); found {
+			spilled--
 		}
-	} else {
-		for _, n := range en.ptrs {
-			if n == msg.Requester {
-				continue
-			}
+		if spilled > 0 {
+			m.CtrAt(home).Broadcasts++ // counts software-assisted invalidation rounds
+			delay = e.trap + sim.Time(spilled)*e.trap/4
+		}
+	case en.broadcast:
+		m.CtrAt(home).Broadcasts++
+		targets = make([]coherent.NodeID, m.Cfg.Procs)
+		for n := range targets {
+			targets[n] = coherent.NodeID(n)
+		}
+	}
+	for _, n := range targets {
+		if n != msg.Requester {
 			pend.acksLeft++
-			m.CtrAt(home).Invalidations++
-			m.Send(&coherent.Msg{
-				Type: coherent.MsgInv, Src: home, Dst: n, Block: b,
-				Requester: msg.Requester, Aux: coherent.NoNode,
-			})
 		}
 	}
 	if pend.acksLeft == 0 {
 		e.grantWrite(m, en, msg)
+		return
+	}
+	if e.policy != trapSoftware {
+		e.sendInvs(m, msg, targets)
+		return
+	}
+	m.ScheduleAt(home, delay, func() { e.sendInvs(m, msg, targets) })
+}
+
+// sendInvs invalidates every target but the write's requester.
+func (e *Engine) sendInvs(m *coherent.Machine, msg *coherent.Msg, targets []coherent.NodeID) {
+	b := msg.Block
+	home := m.Home(b)
+	for _, n := range targets {
+		if n == msg.Requester {
+			continue
+		}
+		m.CtrAt(home).Invalidations++
+		m.Send(&coherent.Msg{
+			Type: coherent.MsgInv, Src: home, Dst: n, Block: b,
+			Requester: msg.Requester, Aux: coherent.NoNode,
+		})
 	}
 }
 
@@ -265,6 +346,7 @@ func (e *Engine) grantWrite(m *coherent.Machine, en *entry, msg *coherent.Msg) {
 	en.state = dirty
 	en.owner = msg.Requester
 	en.ptrs = []coherent.NodeID{msg.Requester}
+	en.sw = nil
 	en.broadcast = false
 	m.ReadMem(b, func() {
 		m.Send(&coherent.Msg{
@@ -295,7 +377,7 @@ func (e *Engine) HomeMsg(m *coherent.Machine, msg *coherent.Msg) {
 			en.drop(msg.Src)
 			en.ptrs = append(en.ptrs, p.req.Requester)
 			en.pend = nil
-			e.serveRead(m, en, p.req)
+			e.serveRead(m, p.req)
 		case stageInv:
 			e.grantWrite(m, en, p.req)
 		default:
@@ -308,7 +390,7 @@ func (e *Engine) HomeMsg(m *coherent.Machine, msg *coherent.Msg) {
 		if en.owner == msg.Src {
 			en.owner = coherent.NoNode
 			en.state = shared
-			if len(en.ptrs) == 0 && !en.broadcast {
+			if len(en.ptrs) == 0 && len(en.sw) == 0 && !en.broadcast {
 				en.state = uncached
 			}
 		}
@@ -395,7 +477,7 @@ func (e *Engine) DescribeBlock(b coherent.BlockID) string {
 	if en == nil {
 		return "uncached (no entry)"
 	}
-	s := fmt.Sprintf("%s owner=%d ptrs=%v broadcast=%v", en.state, en.owner, en.ptrs, en.broadcast)
+	s := fmt.Sprintf("%s owner=%d ptrs=%v sw=%v broadcast=%v", en.state, en.owner, en.ptrs, en.sw, en.broadcast)
 	if p := en.pend; p != nil {
 		s += fmt.Sprintf(" pending{%s from %d, stage=%d, wbFrom=%d, acksLeft=%d}",
 			p.req.Type, p.req.Requester, p.stage, p.wbFrom, p.acksLeft)
@@ -404,19 +486,9 @@ func (e *Engine) DescribeBlock(b coherent.BlockID) string {
 }
 
 // DirectoryBits implements coherent.Engine using the paper's
-// B·i·n·log n formula plus one state bit per block.
+// B·i·n·log n formula. Only the hardware pointers count: the LimitLESS
+// software table lives in ordinary memory.
 func (e *Engine) DirectoryBits(cfg coherent.Config, blocksPerNode int) int64 {
 	n := int64(cfg.Procs)
-	return int64(blocksPerNode) * n * int64(e.ptrs) * int64(ceilLog2(cfg.Procs)) // pointers
-}
-
-func ceilLog2(n int) int {
-	l := 0
-	for (1 << l) < n {
-		l++
-	}
-	if l == 0 {
-		l = 1
-	}
-	return l
+	return int64(blocksPerNode) * n * int64(e.ptrs) * int64(treemath.CeilLog2(cfg.Procs))
 }

@@ -5,6 +5,7 @@ import (
 
 	"dircc/internal/cache"
 	"dircc/internal/coherent"
+	"dircc/internal/treemath"
 )
 
 // sciEntry is the SCI home state: the head pointer plus the attach
@@ -749,6 +750,6 @@ func (e *SCI) DescribeBlock(b coherent.BlockID) string {
 // block plus forward and backward pointers per cache line.
 func (e *SCI) DirectoryBits(cfg coherent.Config, blocksPerNode int) int64 {
 	n := int64(cfg.Procs)
-	logn := int64(ceilLog2(cfg.Procs))
+	logn := int64(treemath.CeilLog2(cfg.Procs))
 	return (int64(blocksPerNode) + 2*int64(cfg.CacheLines())) * n * logn
 }

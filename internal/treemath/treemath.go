@@ -84,6 +84,20 @@ func PaperColumn(i, level int) int64 {
 	return N(i, level+1) + 1
 }
 
+// CeilLog2 returns the bits of one node pointer in an n-processor
+// machine, ceil(log2 n), and never less than 1: the log n factor of
+// every directory-size formula in the paper's Table 2.
+func CeilLog2(n int) int {
+	l := 0
+	for (1 << l) < n {
+		l++
+	}
+	if l == 0 {
+		l = 1
+	}
+	return l
+}
+
 // BinaryTreeNodes returns 2^level - 1, the capacity of the perfect
 // binary tree maintained by STP or the SCI tree extension (Table 4's
 // last column).

@@ -10,7 +10,6 @@ import (
 	"dircc/internal/core"
 	"dircc/internal/protocol/fullmap"
 	"dircc/internal/protocol/limited"
-	"dircc/internal/protocol/limitless"
 	"dircc/internal/protocol/list"
 	"dircc/internal/protocol/stp"
 )
@@ -38,24 +37,14 @@ func NewEngine(name string) (Engine, error) {
 	if f, ok := extraEngines[n]; ok {
 		return f(), nil
 	}
-	if rest, ok := strings.CutPrefix(n, "limitless"); ok {
-		if i, err := strconv.Atoi(rest); err == nil && i >= 1 {
-			return limitless.New(i), nil
-		}
-	}
-	if rest, ok := strings.CutPrefix(n, "ll"); ok {
-		if i, err := strconv.Atoi(rest); err == nil && i >= 1 {
-			return limitless.New(i), nil
-		}
-	}
-	if rest, ok := strings.CutPrefix(n, "l"); ok {
-		if i, err := strconv.Atoi(rest); err == nil && i >= 1 {
-			return limited.NewNB(i), nil
-		}
-	}
-	if rest, ok := strings.CutPrefix(n, "b"); ok {
-		if i, err := strconv.Atoi(rest); err == nil && i >= 1 {
-			return limited.NewB(i), nil
+	for _, p := range []struct {
+		prefix string
+		ctor   func(int) *limited.Engine
+	}{{"limitless", limited.NewLimitLESS}, {"ll", limited.NewLimitLESS}, {"l", limited.NewNB}, {"b", limited.NewB}} {
+		if rest, ok := strings.CutPrefix(n, p.prefix); ok {
+			if i, err := strconv.Atoi(rest); err == nil && i >= 1 {
+				return p.ctor(i), nil
+			}
 		}
 	}
 	if rest, ok := strings.CutPrefix(n, "t"); ok {
