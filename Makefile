@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test tier1 vet race bench perf perf-shards sweep cover lint check smoke fuzz stress clean
+.PHONY: all build test tier1 vet race bench perf-shards sweep cover lint check smoke fuzz stress clean
 
 all: tier1
 
@@ -79,19 +79,12 @@ stress:
 race:
 	$(GO) test -race ./...
 
-# bench runs the hot-path micro-benchmarks. Save the output before and
-# after a change and compare with cmd/benchdiff (or benchstat).
+# bench runs the hot-path micro-benchmarks (the kernel and network
+# rungs below the end-to-end benchmark). Compare runs of the parent and
+# the change on the same machine, e.g. with benchstat. The end-to-end
+# benchmark is perfbench/: see perfbench/README.md.
 bench:
 	$(GO) test -bench 'EngineScheduleRun|NetworkSend|ShardedScheduleRun' -benchmem -run '^$$' ./internal/sim ./internal/network
-
-# perf reruns the micro-benchmarks and diffs them against the newest
-# committed BENCH_PR*.json snapshot; exits nonzero past a 25% ns/op
-# regression. The gate is explicit in CI (no continue-on-error): the
-# threshold is sized so shared-runner noise stays under it while real
-# hot-path regressions trip it.
-perf:
-	$(GO) test -bench 'EngineScheduleRun|NetworkSend|ShardedScheduleRun' -benchmem -run '^$$' ./internal/sim ./internal/network > bench.out
-	$(GO) run ./cmd/benchdiff -gate -threshold 0.25 $$(ls BENCH_PR*.json | sort -V | tail -1) bench.out
 
 # perf-shards measures the parallel kernel's wall-clock scaling: the
 # P=64 full-map experiment, sequential vs 1/2/4/8 worker shards.
@@ -114,4 +107,4 @@ cover:
 
 # clean removes generated artifacts.
 clean:
-	rm -f coverage.out bench.out dirccvet.sarif
+	rm -f coverage.out dirccvet.sarif

@@ -67,9 +67,10 @@ func main() {
 	flag.Parse()
 
 	if *shards < 1 {
-		fmt.Fprintf(os.Stderr, "coherencesim: -shards must be at least 1 (got %d)\n", *shards)
-		flag.Usage()
-		os.Exit(2)
+		usageError("-shards must be at least 1 (got %d)", *shards)
+	}
+	if *sampleEvery < 1 {
+		usageError("-sample-every must be at least 1 (got %d)", *sampleEvery)
 	}
 
 	var oc *dircc.ObsConfig
@@ -285,4 +286,12 @@ func writeFile(path string, write func(*os.File) error) {
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "coherencesim:", err)
 	os.Exit(1)
+}
+
+// usageError reports a bad flag value with the usage text and exits 2,
+// as the flag package does for a flag it cannot parse.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "coherencesim: "+format+"\n", args...)
+	flag.Usage()
+	os.Exit(2)
 }

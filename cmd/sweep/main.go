@@ -74,6 +74,9 @@ func main() {
 	if *jobs < 0 {
 		usageError("-j must be 0 (GOMAXPROCS/shards) or positive (got %d)", *jobs)
 	}
+	if *sampleEvery < 1 {
+		usageError("-sample-every must be at least 1 (got %d)", *sampleEvery)
+	}
 	// Two multiplicative levels of parallelism: -j experiments, each up
 	// to -shards OS threads. Default -j so j*shards ~ GOMAXPROCS; an
 	// explicit -j wins, with a warning when the product oversubscribes

@@ -78,7 +78,7 @@ func TestBadFlagsExitUsage(t *testing.T) {
 		main()
 		return
 	}
-	for _, bad := range []string{"-j -2", "-shards -3"} {
+	for _, bad := range []string{"-j -2", "-shards -3", "-sample-every 0 -timeseries-dir " + t.TempDir()} {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestBadFlagsExitUsage$")
 		cmd.Env = append(os.Environ(), "SWEEP_TEST_ARGS="+bad+" -apps fft -schemes fm -procs 8")
 		out, err := cmd.CombinedOutput()

@@ -23,6 +23,13 @@ func main() {
 	sharers := flag.Int("sharers", 8, "P, the sharers invalidated by the measured write miss")
 	flag.Parse()
 
+	if *procs < 2 {
+		usageError("-procs must be at least 2 (got %d)", *procs)
+	}
+	if *sharers < 1 || *sharers >= *procs {
+		usageError("-sharers must be between 1 and -procs - 1 (got %d with -procs %d)", *sharers, *procs)
+	}
+
 	switch *table {
 	case "1":
 		table1(*procs, *sharers)
@@ -44,6 +51,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tables: unknown -table %q\n", *table)
 		os.Exit(1)
 	}
+}
+
+// usageError reports a bad flag value with the usage text and exits 2,
+// as the flag package does for a flag it cannot parse.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "tables: "+format+"\n", args...)
+	flag.Usage()
+	os.Exit(2)
 }
 
 // table1 prints the paper's Table 1 message counts: the analytic column

@@ -2,15 +2,11 @@ package kprof
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"os"
 )
 
 // Row ties one experiment's kernel-profile report to its grid
-// coordinates. cmd/sweep writes a []Row JSON document via -kprof-json;
-// cmd/benchdiff reads two of them to print coordination-overhead
-// deltas.
+// coordinates. cmd/sweep writes a []Row JSON document via -kprof-json.
 type Row struct {
 	App      string  `json:"app"`
 	Scheme   string  `json:"scheme"`
@@ -20,27 +16,9 @@ type Row struct {
 	Report   *Report `json:"report"`
 }
 
-// Key is the grid coordinate used to match rows across two snapshots.
-func (r *Row) Key() string {
-	return fmt.Sprintf("%s/%s/P%d/%s", r.App, r.Scheme, r.Procs, r.Topology)
-}
-
 // WriteRows writes rows as an indented JSON array.
 func WriteRows(w io.Writer, rows []Row) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rows)
-}
-
-// LoadRows reads a -kprof-json document back.
-func LoadRows(path string) ([]Row, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rows []Row
-	if err := json.Unmarshal(b, &rows); err != nil {
-		return nil, fmt.Errorf("kprof rows %s: %w", path, err)
-	}
-	return rows, nil
 }

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -15,15 +16,25 @@ import (
 
 // The testdata harness mirrors go/analysis's analysistest: each
 // analyzer has a testdata/<name> package whose files carry
-// `// want "regex"` comments on the lines where a finding is expected.
-// The harness runs the analyzer and diffs findings against
-// expectations in both directions.
+// "// want `regex`" comments (the pattern in backquotes) on the lines
+// where a finding is expected. The harness runs the analyzer and diffs
+// findings against expectations in both directions. A fixture that
+// declares no expectation, or writes one in double quotes, fails: it
+// would otherwise pass even if its analyzer stopped reporting.
 
 var wantRx = regexp.MustCompile("want `([^`]*)`")
 
 func runTestdata(t *testing.T, a *Analyzer) {
 	t.Helper()
-	dir := filepath.Join("testdata", a.Name)
+	for _, p := range checkTestdata(t, a, filepath.Join("testdata", a.Name)) {
+		t.Error(p)
+	}
+}
+
+// checkTestdata runs a over the fixture package in dir and returns
+// every mismatch between its findings and the fixture's expectations.
+func checkTestdata(t *testing.T, a *Analyzer, dir string) []string {
+	t.Helper()
 	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil || len(names) == 0 {
 		t.Fatalf("no testdata under %s: %v", dir, err)
@@ -78,10 +89,16 @@ func runTestdata(t *testing.T, a *Analyzer) {
 		k := key{filepath.Base(d.Pos.Filename), d.Pos.Line}
 		got[k] = append(got[k], d.Message)
 	}
+	var problems []string
 	want := map[key][]*regexp.Regexp{}
 	for i, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
+				if strings.Contains(c.Text, `want "`) {
+					pos := fset.Position(c.Pos())
+					problems = append(problems, fmt.Sprintf("%s:%d: want pattern in double quotes; write it in backquotes",
+						filepath.Base(names[i]), pos.Line))
+				}
 				for _, m := range wantRx.FindAllStringSubmatch(c.Text, -1) {
 					rx, err := regexp.Compile(m[1])
 					if err != nil {
@@ -95,6 +112,10 @@ func runTestdata(t *testing.T, a *Analyzer) {
 		}
 	}
 
+	if len(want) == 0 {
+		problems = append(problems, fmt.Sprintf("%s declares no want expectations", dir))
+	}
+
 	for k, rxs := range want {
 		msgs := got[k]
 		for _, rx := range rxs {
@@ -106,13 +127,29 @@ func runTestdata(t *testing.T, a *Analyzer) {
 				}
 			}
 			if !matched {
-				t.Errorf("%s:%d: expected finding matching %q, got %v", k.file, k.line, rx, msgs)
+				problems = append(problems, fmt.Sprintf("%s:%d: expected finding matching %q, got %v", k.file, k.line, rx, msgs))
 			}
 		}
 	}
 	for k, msgs := range got {
 		if len(want[k]) == 0 {
-			t.Errorf("%s:%d: unexpected finding(s): %v", k.file, k.line, msgs)
+			problems = append(problems, fmt.Sprintf("%s:%d: unexpected finding(s): %v", k.file, k.line, msgs))
+		}
+	}
+	return problems
+}
+
+// TestHarnessRejectsBlindFixtures checks that the harness itself fails a
+// fixture with no expectations and one whose expectation is written in
+// double quotes, which the want pattern does not read.
+func TestHarnessRejectsBlindFixtures(t *testing.T) {
+	for _, c := range []struct{ dir, want string }{
+		{"nowant", "declares no want expectations"},
+		{"quoted", "want pattern in double quotes"},
+	} {
+		problems := checkTestdata(t, SimDet, filepath.Join("testdata", "harness", c.dir))
+		if !strings.Contains(strings.Join(problems, "\n"), c.want) {
+			t.Errorf("fixture %s: problems %q, want one containing %q", c.dir, problems, c.want)
 		}
 	}
 }

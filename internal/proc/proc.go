@@ -12,6 +12,7 @@ package proc
 
 import (
 	"fmt"
+	"runtime"
 
 	"dircc/internal/coherent"
 	"dircc/internal/sim"
@@ -134,7 +135,7 @@ func Run(m *coherent.Machine, body Body) (sim.Time, error) {
 		p := &proc{id: i, req: make(chan request), resume: make(chan uint64), g: g}
 		g.procs = append(g.procs, p)
 		go func(p *proc) {
-			<-p.resume // wait for the simulator to start us
+			p.wait() // wait for the simulator to start us
 			body(&env{p: p})
 			p.req <- request{kind: reqDone}
 		}(p)
@@ -156,24 +157,32 @@ func Run(m *coherent.Machine, body Body) (sim.Time, error) {
 	return m.Now(), nil
 }
 
-// abandon unblocks any still-parked goroutines so they can exit; their
-// next request is discarded. Only used on error paths.
+// abandon closes the resume channel of every unfinished processor; a
+// parked goroutine then exits from inside its Env call instead of
+// returning into the body. Only used on error paths.
 func (g *Group) abandon() {
 	for _, p := range g.procs {
-		if p.done {
-			continue
+		if !p.done {
+			close(p.resume)
 		}
-		p := p
-		go func() {
-			p.resume <- 0
-			for r := range p.req {
-				if r.kind == reqDone {
-					return
-				}
-				p.resume <- 0
-			}
-		}()
 	}
+}
+
+// wait parks the processor's goroutine until the simulator resumes it
+// and returns the value it was resumed with. A closed resume channel
+// means the run was abandoned, and the goroutine exits.
+func (p *proc) wait() uint64 {
+	v, ok := <-p.resume
+	if !ok {
+		runtime.Goexit()
+	}
+	return v
+}
+
+// call hands request r to the simulator and parks until it completes.
+func (p *proc) call(r request) uint64 {
+	p.req <- r
+	return p.wait()
 }
 
 // advance resumes processor p with value v, waits for its next request,
@@ -433,41 +442,28 @@ func (e *env) ID() int     { return e.p.id }
 func (e *env) NProcs() int { return e.p.g.m.Cfg.Procs }
 
 func (e *env) Read(addr uint64) uint64 {
-	e.p.req <- request{kind: reqRead, addr: addr}
-	return <-e.p.resume
+	return e.p.call(request{kind: reqRead, addr: addr})
 }
 
 func (e *env) Write(addr uint64, v uint64) {
-	e.p.req <- request{kind: reqWrite, addr: addr, value: v}
-	<-e.p.resume
+	e.p.call(request{kind: reqWrite, addr: addr, value: v})
 }
 
 func (e *env) FetchAdd(addr uint64, delta uint64) uint64 {
-	e.p.req <- request{kind: reqFetchAdd, addr: addr, value: delta}
-	return <-e.p.resume
+	return e.p.call(request{kind: reqFetchAdd, addr: addr, value: delta})
 }
 
 func (e *env) Compute(cycles uint64) {
 	if cycles == 0 {
 		return
 	}
-	e.p.req <- request{kind: reqCompute, cycles: cycles}
-	<-e.p.resume
+	e.p.call(request{kind: reqCompute, cycles: cycles})
 }
 
-func (e *env) Barrier() {
-	e.p.req <- request{kind: reqBarrier}
-	<-e.p.resume
-}
+func (e *env) Barrier() { e.p.call(request{kind: reqBarrier}) }
 
-func (e *env) Lock(id int) {
-	e.p.req <- request{kind: reqLock, lockID: id}
-	<-e.p.resume
-}
+func (e *env) Lock(id int) { e.p.call(request{kind: reqLock, lockID: id}) }
 
-func (e *env) Unlock(id int) {
-	e.p.req <- request{kind: reqUnlock, lockID: id}
-	<-e.p.resume
-}
+func (e *env) Unlock(id int) { e.p.call(request{kind: reqUnlock, lockID: id}) }
 
 func (e *env) Now() sim.Time { return e.p.g.m.Now() }

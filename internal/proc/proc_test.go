@@ -1,9 +1,11 @@
 package proc
 
 import (
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dircc/internal/coherent"
 	"dircc/internal/protocol/fullmap"
@@ -207,6 +209,35 @@ func TestLockDeadlockDetected(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("deadlock not reported: %v", err)
+	}
+}
+
+// TestAbandonedSpinnersExit checks that a failed run does not leak its
+// processors: bodies spinning on a flag that is never set must exit once
+// the event budget aborts the run, rather than spin on zero-valued
+// resumes forever.
+func TestAbandonedSpinnersExit(t *testing.T) {
+	cfg := coherent.DefaultConfig(2)
+	cfg.MaxEvents = 2000
+	m, err := coherent.NewMachine(cfg, fullmap.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	flag := m.Alloc(8)
+	baseline := runtime.NumGoroutine()
+	if _, err := Run(m, func(e Env) {
+		for e.Read(flag) == 0 {
+		}
+	}); err != sim.ErrEventBudget {
+		t.Fatalf("Run error = %v, want %v", err, sim.ErrEventBudget)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still running after the run failed, baseline %d",
+				runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -181,34 +181,3 @@ func (e *Engine) Run() error {
 	}
 	return nil
 }
-
-// RunUntil fires events with timestamp <= deadline and then stops,
-// leaving later events queued. It returns the number of events fired.
-//
-//dirccvet:hotpath
-func (e *Engine) RunUntil(deadline Time) (fired uint64, err error) {
-	e.stopped = false
-	for len(e.queue) > 0 && !e.stopped {
-		if e.queue[0].at > deadline {
-			break
-		}
-		ev := e.queue.pop()
-		if ev.at < e.now {
-			panic("sim: time went backwards")
-		}
-		e.now = ev.at
-		e.executed++
-		fired++
-		if e.MaxEvents != 0 && e.executed > e.MaxEvents {
-			return fired, ErrEventBudget
-		}
-		if e.probe != nil {
-			e.probe(e.now)
-		}
-		ev.fn()
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
-	return fired, nil
-}

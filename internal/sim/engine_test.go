@@ -113,44 +113,6 @@ func TestStop(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	e := NewEngine()
-	var fired []Time
-	for _, d := range []Time{1, 5, 10, 15} {
-		e.Schedule(d, func() { fired = append(fired, e.Now()) })
-	}
-	n, err := e.RunUntil(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
-		t.Fatalf("fired %d events, want 3", n)
-	}
-	if e.Now() != 10 {
-		t.Fatalf("Now() = %d, want 10", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending() = %d, want 1", e.Pending())
-	}
-	// Resume to drain.
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if e.Now() != 15 {
-		t.Fatalf("Now() = %d, want 15", e.Now())
-	}
-}
-
-func TestRunUntilAdvancesClockWithNoEvents(t *testing.T) {
-	e := NewEngine()
-	if _, err := e.RunUntil(42); err != nil {
-		t.Fatal(err)
-	}
-	if e.Now() != 42 {
-		t.Fatalf("Now() = %d, want 42", e.Now())
-	}
-}
-
 func TestEventBudget(t *testing.T) {
 	e := NewEngine()
 	e.MaxEvents = 10

@@ -72,20 +72,6 @@ func TestRunBackwardsTimePanics(t *testing.T) {
 	_ = e.Run()
 }
 
-// TestRunUntilBackwardsTimePanics is the same guard for RunUntil, which
-// the seed implementation was missing.
-func TestRunUntilBackwardsTimePanics(t *testing.T) {
-	e := NewEngine()
-	e.now = 10
-	e.queue = eventQueue{{at: 5, seq: 1, fn: func() {}}}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("RunUntil did not panic on a backwards-time event")
-		}
-	}()
-	_, _ = e.RunUntil(20)
-}
-
 // TestPopReleasesClosure checks the vacated heap slot is zeroed so the
 // queue does not pin popped closures (and their captures) in memory.
 func TestPopReleasesClosure(t *testing.T) {
