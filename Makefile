@@ -40,11 +40,14 @@ lint: vet
 # pinned table, plus the mutation self-tests that prove the checker
 # catches a seeded tree bug and a Dir_iB that drops its broadcast bit,
 # and the lane-partition audit catches a wrong-lane mutation), the
-# time-boxed differential fuzz smoke tier, and the sharded-kernel
-# large-machine smoke (P=256 on 8 shards, byte-identical to
-# sequential).
+# checker's cost and soundness pins (one replay per transition and
+# terminal, and every message and line-metadata field reaching the
+# canonical encoding), the time-boxed differential fuzz smoke tier,
+# and the sharded-kernel large-machine smoke (P=256 on 8 shards,
+# byte-identical to sequential).
 check: smoke
-	$(GO) test ./internal/check -v -run 'TestExhaustive|TestMutationCaught|TestLaneMutantCaught'
+	$(GO) test ./internal/check -v -run 'TestExhaustive|TestReplayCount|TestMutationCaught|TestLaneMutantCaught'
+	$(GO) test ./internal/coherent -v -run 'TestCanonFieldCoverage'
 	$(GO) test ./internal/protocol/limited -v -run 'TestBroadcastMutantCaught'
 	$(GO) test . -v -run 'TestShardedLargeP'
 

@@ -38,6 +38,18 @@ func main() {
 	attribFile := flag.String("attrib", "", "pretty-print a latency-attribution JSON file written by sweep -attrib-json")
 	flag.Parse()
 
+	if *procs < 2 {
+		usageError("-procs must be at least 2 (got %d)", *procs)
+	}
+	var blockSizes []int
+	for _, bs := range strings.Split(*blocks, ",") {
+		b, err := strconv.Atoi(strings.TrimSpace(bs))
+		if err != nil || b < 1 {
+			usageError("-blocks entries must be positive integers (got %q)", bs)
+		}
+		blockSizes = append(blockSizes, b)
+	}
+
 	if *attribFile != "" {
 		if err := printAttrib(*attribFile); err != nil {
 			fail(err)
@@ -86,11 +98,7 @@ func main() {
 	}
 	var jsonRows []patternJSON
 
-	for _, bs := range strings.Split(*blocks, ",") {
-		b, err := strconv.Atoi(strings.TrimSpace(bs))
-		if err != nil || b < 1 {
-			fail(fmt.Errorf("bad block size %q", bs))
-		}
+	for _, b := range blockSizes {
 		p := trace.Analyze(tr, b)
 		if *jsonOut {
 			jsonRows = append(jsonRows, patternJSON{
@@ -149,4 +157,12 @@ func printAttrib(path string) error {
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "analyze:", err)
 	os.Exit(1)
+}
+
+// usageError reports a bad flag value with the usage text and exits 2,
+// as the flag package does for a flag it cannot parse.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "analyze: "+format+"\n", args...)
+	flag.Usage()
+	os.Exit(2)
 }

@@ -18,7 +18,8 @@
 // command exit 2, as a bad flag value does). -attrib prints the
 // per-transaction latency attribution (phase breakdown, critical path,
 // invalidation-wave structure). -json prints the result as JSON
-// instead of text.
+// instead of text. -cpuprofile and -memprofile write host CPU and heap
+// profiles of the simulator itself for `go tool pprof`.
 //
 // With -shards N (N>1) the run uses the deterministic parallel kernel;
 // -kprof then prints the kernel profile (per-lane busy/idle, wave
@@ -40,6 +41,7 @@ import (
 
 	"dircc"
 	"dircc/internal/attrib"
+	"dircc/internal/hostprof"
 	"dircc/internal/kprof"
 	"dircc/internal/trace"
 )
@@ -64,6 +66,8 @@ func main() {
 	kprofJSON := flag.String("kprof-json", "", "write the kernel profile as JSON here (needs -shards > 1)")
 	kprofTrace := flag.String("kprof-trace", "", "write the kernel lane timeline as a Chrome trace here (needs -shards > 1)")
 	explainShards := flag.Bool("explain-shards", false, "print the shard plan (effective shard count and fallback reason) and exit without running")
+	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile of the run here (go tool pprof)")
+	memProfile := flag.String("memprofile", "", "write a host heap profile, taken after the run, here (go tool pprof)")
 	flag.Parse()
 
 	if *shards < 1 {
@@ -109,8 +113,13 @@ func main() {
 		return
 	}
 
+	stop, err := hostprof.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fail(err)
+	}
+	stopProfiles = stop
+
 	var r *dircc.Result
-	var err error
 	switch {
 	case *replay != "":
 		if oc != nil {
@@ -259,6 +268,9 @@ func main() {
 			r.KProf.WriteTable(os.Stdout)
 		}
 	}
+	if err := stopProfiles(); err != nil {
+		fail(err)
+	}
 	if stalled {
 		// Exit 2 distinguishes "the run finished but the watchdog fired"
 		// from hard failures (exit 1), so CI can gate on stalls.
@@ -283,8 +295,13 @@ func writeFile(path string, write func(*os.File) error) {
 	}
 }
 
+// stopProfiles finishes the -cpuprofile/-memprofile output; every
+// exit path calls it.
+var stopProfiles = func() error { return nil }
+
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "coherencesim:", err)
+	_ = stopProfiles() // best effort: the command is failing anyway
 	os.Exit(1)
 }
 

@@ -45,9 +45,8 @@ func main() {
 	var sizes []int
 	for _, s := range strings.Split(*procsFlag, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil || v < 1 {
-			fmt.Fprintf(os.Stderr, "figures: bad -procs entry %q\n", s)
-			os.Exit(1)
+		if err != nil || v < 2 {
+			usageError("-procs entries must be integers of at least 2 (got %q)", s)
 		}
 		sizes = append(sizes, v)
 	}
@@ -59,8 +58,7 @@ func main() {
 	figs := []int{8, 9, 10, 11}
 	if *fig != 0 {
 		if _, ok := figApps[*fig]; !ok {
-			fmt.Fprintf(os.Stderr, "figures: unknown figure %d (8..11)\n", *fig)
-			os.Exit(1)
+			usageError("-fig must be 0 (all) or one of 8..11 (got %d)", *fig)
 		}
 		figs = []int{*fig}
 	}
@@ -154,4 +152,12 @@ func printDecomposition(app string, procs int, schemes []string, full bool) erro
 		fmt.Println()
 	}
 	return nil
+}
+
+// usageError reports a bad flag value with the usage text and exits 2,
+// as the flag package does for a flag it cannot parse.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "figures: "+format+"\n", args...)
+	flag.Usage()
+	os.Exit(2)
 }

@@ -27,6 +27,7 @@
 //	sweep -http :8080                            # live telemetry
 //	sweep -shards 4 -kprof kprof.csv -kprof-json kprof.json  # kernel profile
 //	sweep -shards 8 -explain-shards              # which runs parallelize, and why not
+//	sweep -cpuprofile cpu.prof -memprofile mem.prof  # host profiles for go tool pprof
 package main
 
 import (
@@ -42,6 +43,7 @@ import (
 
 	"dircc"
 	"dircc/internal/attrib"
+	"dircc/internal/hostprof"
 	"dircc/internal/kprof"
 )
 
@@ -66,6 +68,8 @@ func main() {
 	kprofOut := flag.String("kprof", "", "profile the parallel kernel and write per-experiment speedup-attribution CSV to this file")
 	kprofJSONOut := flag.String("kprof-json", "", "profile the parallel kernel and write per-experiment speedup-attribution JSON to this file")
 	explainShards := flag.Bool("explain-shards", false, "print each grid point's shard plan (effective shards and fallback reason) and exit without running")
+	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile of the sweep here (go tool pprof)")
+	memProfile := flag.String("memprofile", "", "write a host heap profile, taken after the sweep, here (go tool pprof)")
 	flag.Parse()
 
 	if *shards < 1 {
@@ -179,6 +183,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sweep: %d of %d grid points would fall back to the sequential kernel\n",
 			fallbacks, len(exps))
 		return
+	}
+
+	stopProfiles, err := hostprof.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "sweep:", err)
+		os.Exit(1)
 	}
 
 	// Live telemetry server. Each experiment gets its own ObsConfig so
@@ -322,6 +332,10 @@ func main() {
 			fmt.Fprintln(os.Stderr, "sweep:", err)
 			failed = true
 		}
+	}
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintln(os.Stderr, "sweep:", err)
+		failed = true
 	}
 	if failed {
 		os.Exit(1)

@@ -14,16 +14,18 @@
 // is a prefix-equivalent reordering of some drained interleaving (see
 // DESIGN.md, "Verification").
 //
-// States are deduplicated by a canonical rendering that excludes
-// simulated time (coherent.Machine.CanonState). Exploration is
-// breadth-first over replayed paths, so the first violation found comes
-// with a minimal message-interleaving witness.
+// States are deduplicated by the sha256 digest of a binary canonical
+// encoding that excludes simulated time (coherent.Machine.CanonState).
+// Exploration is breadth-first over replayed paths, so the first
+// violation found comes with a minimal message-interleaving witness.
 package check
 
 import (
+	"cmp"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"dircc/internal/coherent"
@@ -198,7 +200,8 @@ func Run(cfg Config) (Stats, *Violation, error) {
 	if verr := r.checkInvariants(); verr != nil {
 		return st, makeWitness(&cfg, nil, verr), nil
 	}
-	visited := map[[sha256.Size]byte]bool{r.hash(): true}
+	var enc encoder
+	visited := map[[sha256.Size]byte]bool{enc.hash(r): true}
 	st.States = 1
 
 	type node struct {
@@ -224,10 +227,13 @@ func Run(cfg Config) (Stats, *Violation, error) {
 			}
 			continue
 		}
-		for _, c := range choices {
-			r, err := replayTo(&cfg, cur.path)
-			if err != nil {
-				return st, nil, err
+		for i, c := range choices {
+			// The expansion replay already stands at cur.path, so the
+			// first choice is applied to it; the rest replay afresh.
+			if i > 0 {
+				if r, err = replayTo(&cfg, cur.path); err != nil {
+					return st, nil, err
+				}
 			}
 			st.Transitions++
 			verr := r.applyChecked(c)
@@ -238,7 +244,7 @@ func Run(cfg Config) (Stats, *Violation, error) {
 			if verr != nil {
 				return st, makeWitness(&cfg, path, verr), nil
 			}
-			h := r.hash()
+			h := enc.hash(r)
 			if visited[h] {
 				continue
 			}
@@ -290,33 +296,47 @@ func makeWitness(cfg *Config, path []choice, verr error) *Violation {
 	return v
 }
 
-// hash digests the canonical state for the visited set.
-func (r *replayer) hash() [sha256.Size]byte {
-	return sha256.Sum256([]byte(r.canon()))
+// encoder is the reusable scratch space of the canonical encoding:
+// one run of the checker encodes every state it reaches into the same
+// buffer.
+type encoder struct {
+	buf coherent.CanonBuf
+	idx []int
 }
 
-// canon renders everything that can influence future behavior: the
-// program counters, the machine (caches, transactions, gates, store,
-// engine state), and the undelivered messages grouped into their FIFO
-// channels — order within a channel is behavior (delivery respects
-// it), order across channels is not (any interleaving is explored), so
-// channels are sorted and their contents are not.
-func (r *replayer) canon() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "pc%v\n", r.cursors)
-	r.m.CanonState(&sb)
-	pool := make([]string, len(r.pool))
-	seq := make(map[[2]coherent.NodeID]int, len(r.pool))
-	for i, p := range r.pool {
-		ch := [2]coherent.NodeID{p.msg.Src, p.msg.Dst}
-		pool[i] = fmt.Sprintf("ch%d>%d#%03d %s", ch[0], ch[1], seq[ch], p.msg.Canon())
-		seq[ch]++
+// hash digests r's canonical state for the visited set.
+func (e *encoder) hash(r *replayer) [sha256.Size]byte {
+	e.canon(r)
+	return sha256.Sum256(e.buf.B)
+}
+
+// canon encodes everything that can influence future behavior: the
+// program counters, the undelivered messages grouped into their FIFO
+// channels, and the machine (caches, transactions, gates, store,
+// engine state). Order within a channel is behavior (delivery
+// respects it), order across channels is not (any interleaving is
+// explored), so the pool is encoded channel by channel in (src, dst)
+// order, each channel in send order.
+func (e *encoder) canon(r *replayer) {
+	b := e.buf.B[:0]
+	for _, pc := range r.cursors {
+		b = binary.AppendUvarint(b, uint64(pc))
 	}
-	sort.Strings(pool)
-	for _, s := range pool {
-		sb.WriteString("in-flight ")
-		sb.WriteString(s)
-		sb.WriteByte('\n')
+	e.idx = e.idx[:0]
+	for i := range r.pool {
+		e.idx = append(e.idx, i)
 	}
-	return sb.String()
+	slices.SortStableFunc(e.idx, func(i, j int) int {
+		a, c := r.pool[i].msg, r.pool[j].msg
+		if a.Src != c.Src {
+			return cmp.Compare(a.Src, c.Src)
+		}
+		return cmp.Compare(a.Dst, c.Dst)
+	})
+	b = binary.AppendUvarint(b, uint64(len(e.idx)))
+	for _, i := range e.idx {
+		b = r.pool[i].msg.AppendCanon(b)
+	}
+	e.buf.B = b
+	r.m.CanonState(&e.buf)
 }

@@ -18,8 +18,10 @@ type pendingMsg struct {
 }
 
 // replayer wraps one machine instance being driven along one path.
-// The checker rebuilds it from scratch for every explored transition;
-// all machine code is deterministic, so equal paths yield equal states.
+// The checker rebuilds it from scratch for every explored transition
+// except the first out of each expanded state, which reuses the replay
+// that listed the choices; all machine code is deterministic, so equal
+// paths yield equal states.
 type replayer struct {
 	cfg     *Config
 	m       *coherent.Machine
@@ -66,16 +68,24 @@ func (r *replayer) choices() []choice {
 			out = append(out, choice{issue: n, deliver: -1})
 		}
 	}
-	seen := make(map[[2]coherent.NodeID]bool, len(r.pool))
 	for i, p := range r.pool {
-		ch := [2]coherent.NodeID{p.msg.Src, p.msg.Dst}
-		if seen[ch] {
+		if !r.channelHead(i, p.msg) {
 			continue
 		}
-		seen[ch] = true
 		out = append(out, choice{issue: -1, deliver: i})
 	}
 	return out
+}
+
+// channelHead reports whether pool entry i is the oldest message on
+// its (src, dst) channel.
+func (r *replayer) channelHead(i int, msg *coherent.Msg) bool {
+	for _, q := range r.pool[:i] {
+		if q.msg.Src == msg.Src && q.msg.Dst == msg.Dst {
+			return false
+		}
+	}
+	return true
 }
 
 // describe renders c against the current (pre-apply) state.
@@ -153,7 +163,7 @@ func (r *replayer) laneSnapshot() []string {
 			if ln == nil || ln.State == cache.Invalid {
 				continue
 			}
-			fmt.Fprintf(&sb, "b%d %v %d %v;", b, ln.State, ln.Val, ln.Meta)
+			fmt.Fprintf(&sb, "b%d %v %d %+v;", b, ln.State, ln.Val, ln.Meta)
 		}
 		out[n] = sb.String()
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"sort"
@@ -23,39 +24,58 @@ func (s dirState) String() string {
 	return fmt.Sprintf("dirState(%d)", uint8(s))
 }
 
-func (meta *treeMeta) String() string { return fmt.Sprintf("ch%v", meta.children) }
+// AppendCanon implements coherent.CanonAppender.
+func (meta *treeMeta) AppendCanon(b []byte) []byte { return coherent.AppendNodes(b, meta.children) }
 
 // CanonState implements coherent.ProtocolState: directory entries with
 // their root slots, in-progress ack aggregations, and victim-buffer
 // tombstones. The torn ghost flag is deliberately excluded: it only
 // relaxes a check, and any state reachable with a cycle has torn set
 // on every path that reaches it.
-func (e *Engine) CanonState(w io.Writer) {
-	for _, b := range e.m.DirBlocks() {
-		en, _ := e.m.Dir(b).(*entry)
+func (e *Engine) CanonState(w io.Writer) { coherent.EncodeCanon(w, e.appendCanon) }
+
+func (e *Engine) appendCanon(b []byte) []byte {
+	for _, blk := range e.m.DirBlocks() {
+		en, _ := e.m.Dir(blk).(*entry)
 		if en == nil {
 			continue
 		}
 		if en.state == uncached && len(en.slots) == 0 && en.owner == coherent.NoNode && en.pend == nil {
 			continue
 		}
-		fmt.Fprintf(w, "dir b%d %s owner%d slots%v", b, en.state, en.owner, en.slots)
-		if p := en.pend; p != nil {
-			fmt.Fprintf(w, " pend{%s stage%d wb%d acks%d}", p.req.Canon(), p.stage, p.wbFrom, p.acksLeft)
+		b = coherent.AppendBlock(append(b, 1), blk)
+		b = append(b, byte(en.state))
+		b = coherent.AppendNode(b, en.owner)
+		b = binary.AppendUvarint(b, uint64(len(en.slots)))
+		for _, s := range en.slots {
+			b = coherent.AppendNode(b, s.node)
+			b = binary.AppendVarint(b, int64(s.level))
 		}
-		fmt.Fprintln(w)
+		b = coherent.AppendBool(b, en.pend != nil)
+		if p := en.pend; p != nil {
+			b = p.req.AppendCanon(b)
+			b = append(b, byte(p.stage))
+			b = coherent.AppendNode(b, p.wbFrom)
+			b = binary.AppendVarint(b, int64(p.acksLeft))
+		}
 	}
 	for _, k := range sortedAggKeys(e.aggs) {
 		a := e.aggs[k.n][k.b]
-		fmt.Fprintf(w, "agg n%d b%d armed%v left%d to%d dir%v", k.n, k.b, a.armed, a.left, a.to, a.toDir)
+		b = coherent.AppendBlock(coherent.AppendNode(append(b, 2), k.n), k.b)
+		b = coherent.AppendBool(b, a.armed)
+		b = binary.AppendVarint(b, int64(a.left))
+		b = coherent.AppendNode(b, a.to)
+		b = coherent.AppendBool(b, a.toDir)
+		b = binary.AppendUvarint(b, uint64(len(a.extra)))
 		for _, d := range a.extra {
-			fmt.Fprintf(w, " +to%d dir%v", d.to, d.toDir)
+			b = coherent.AppendBool(coherent.AppendNode(b, d.to), d.toDir)
 		}
-		fmt.Fprintln(w)
 	}
 	for _, k := range sortedTombKeys(e.tombs) {
-		fmt.Fprintf(w, "tomb n%d b%d -> %v\n", k.n, k.b, e.tombs[k.n][k.b])
+		b = coherent.AppendBlock(coherent.AppendNode(append(b, 3), k.n), k.b)
+		b = coherent.AppendNodes(b, e.tombs[k.n][k.b])
 	}
+	return b
 }
 
 // CoverageRoots implements coherent.CoverageEnumerator: the directory

@@ -1,7 +1,7 @@
 package fullmap
 
 import (
-	"fmt"
+	"encoding/binary"
 	"io"
 	"sort"
 
@@ -10,23 +10,32 @@ import (
 
 // Verification hooks for the model checker (internal/check).
 
-// CanonState implements coherent.ProtocolState: a deterministic dump of
-// every directory entry that differs from the uncached zero state.
-func (e *Engine) CanonState(w io.Writer) {
-	for _, b := range e.m.DirBlocks() {
-		en, ok := e.m.Dir(b).(*entry)
+// CanonState implements coherent.ProtocolState: a deterministic
+// encoding of every directory entry that differs from the uncached
+// zero state.
+func (e *Engine) CanonState(w io.Writer) { coherent.EncodeCanon(w, e.appendCanon) }
+
+func (e *Engine) appendCanon(b []byte) []byte {
+	for _, blk := range e.m.DirBlocks() {
+		en, ok := e.m.Dir(blk).(*entry)
 		if !ok {
 			continue
 		}
 		if en.state == uncached && len(en.sharers) == 0 && en.owner == coherent.NoNode && en.pend == nil {
 			continue
 		}
-		fmt.Fprintf(w, "dir b%d %s owner%d sharers%v", b, en.state, en.owner, sortedNodes(en.sharers))
+		b = coherent.AppendBlock(append(b, 1), blk)
+		b = append(b, byte(en.state))
+		b = coherent.AppendNode(b, en.owner)
+		b = coherent.AppendNodes(b, sortedNodes(en.sharers))
+		b = coherent.AppendBool(b, en.pend != nil)
 		if p := en.pend; p != nil {
-			fmt.Fprintf(w, " pend{%s wantWb%d acks%d}", p.req.Canon(), p.wantWb, p.acksLeft)
+			b = p.req.AppendCanon(b)
+			b = coherent.AppendNode(b, p.wantWb)
+			b = binary.AppendVarint(b, int64(p.acksLeft))
 		}
-		fmt.Fprintln(w)
 	}
+	return b
 }
 
 // CoverageRoots implements coherent.CoverageEnumerator: the presence

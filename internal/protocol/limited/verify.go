@@ -1,7 +1,7 @@
 package limited
 
 import (
-	"fmt"
+	"encoding/binary"
 	"io"
 	"slices"
 
@@ -12,9 +12,11 @@ import (
 
 // CanonState implements coherent.ProtocolState. The round-robin cursor
 // is included: it selects future overflow victims.
-func (e *Engine) CanonState(w io.Writer) {
-	for _, b := range e.m.DirBlocks() {
-		en, ok := e.m.Dir(b).(*entry)
+func (e *Engine) CanonState(w io.Writer) { coherent.EncodeCanon(w, e.appendCanon) }
+
+func (e *Engine) appendCanon(b []byte) []byte {
+	for _, blk := range e.m.DirBlocks() {
+		en, ok := e.m.Dir(blk).(*entry)
 		if !ok {
 			continue
 		}
@@ -22,12 +24,22 @@ func (e *Engine) CanonState(w io.Writer) {
 			!en.broadcast && en.rr == 0 && en.pend == nil {
 			continue
 		}
-		fmt.Fprintf(w, "dir b%d %s owner%d ptrs%v sw%v bc%v rr%d", b, en.state, en.owner, en.ptrs, en.sw, en.broadcast, en.rr)
+		b = coherent.AppendBlock(append(b, 1), blk)
+		b = append(b, byte(en.state))
+		b = coherent.AppendNode(b, en.owner)
+		b = coherent.AppendNodes(b, en.ptrs)
+		b = coherent.AppendNodes(b, en.sw)
+		b = coherent.AppendBool(b, en.broadcast)
+		b = binary.AppendVarint(b, int64(en.rr))
+		b = coherent.AppendBool(b, en.pend != nil)
 		if p := en.pend; p != nil {
-			fmt.Fprintf(w, " pend{%s stage%d wb%d acks%d}", p.req.Canon(), p.stage, p.wbFrom, p.acksLeft)
+			b = p.req.AppendCanon(b)
+			b = append(b, byte(p.stage))
+			b = coherent.AppendNode(b, p.wbFrom)
+			b = binary.AppendVarint(b, int64(p.acksLeft))
 		}
-		fmt.Fprintln(w)
 	}
+	return b
 }
 
 // CoverageRoots implements coherent.CoverageEnumerator. With the

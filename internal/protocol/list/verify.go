@@ -1,7 +1,7 @@
 package list
 
 import (
-	"fmt"
+	"encoding/binary"
 	"io"
 	"sort"
 
@@ -11,11 +11,16 @@ import (
 
 // Verification hooks for the model checker (internal/check).
 
-func (meta *sllMeta) String() string { return fmt.Sprintf("next%d", meta.next) }
+// AppendCanon implements coherent.CanonAppender.
+func (meta *sllMeta) AppendCanon(b []byte) []byte { return coherent.AppendNode(b, meta.next) }
 
-func (meta *sciMeta) String() string { return fmt.Sprintf("prev%d,next%d", meta.prev, meta.next) }
+// AppendCanon implements coherent.CanonAppender.
+func (meta *sciMeta) AppendCanon(b []byte) []byte {
+	return coherent.AppendNode(coherent.AppendNode(b, meta.prev), meta.next)
+}
 
-func (ps *purgeState) String() string { return fmt.Sprintf("purge@%d", ps.cur) }
+// AppendCanon implements coherent.CanonAppender.
+func (ps *purgeState) AppendCanon(b []byte) []byte { return coherent.AppendNode(b, ps.cur) }
 
 // CanonState implements coherent.ProtocolState for the singly linked
 // list engine. The victim buffers and attach stamps are part of the
@@ -25,46 +30,39 @@ func (ps *purgeState) String() string { return fmt.Sprintf("purge@%d", ps.cur) }
 // of serialized requests — a function of which operations have
 // completed, not of their interleaving — so including them does not
 // stop converging interleavings from deduplicating.
-func (e *SLL) CanonState(w io.Writer) {
-	for _, b := range e.m.DirBlocks() {
-		en, _ := e.m.Dir(b).(*sllEntry)
+func (e *SLL) CanonState(w io.Writer) { coherent.EncodeCanon(w, e.appendCanon) }
+
+func (e *SLL) appendCanon(b []byte) []byte {
+	for _, blk := range e.m.DirBlocks() {
+		en, _ := e.m.Dir(blk).(*sllEntry)
 		if en == nil {
 			continue
 		}
 		if en.state == uncached && en.head == coherent.NoNode && en.owner == coherent.NoNode && en.pend == nil && en.seq == 0 {
 			continue
 		}
-		fmt.Fprintf(w, "dir b%d %s head%d owner%d seq%d", b, en.state, en.head, en.owner, en.seq)
+		b = coherent.AppendBlock(append(b, 1), blk)
+		b = append(b, byte(en.state))
+		b = coherent.AppendNode(b, en.head)
+		b = coherent.AppendNode(b, en.owner)
+		b = binary.AppendUvarint(b, en.seq)
+		b = coherent.AppendBool(b, en.pend != nil)
 		if p := en.pend; p != nil {
-			fmt.Fprintf(w, " pend{%s}", p.req.Canon())
+			b = p.req.AppendCanon(b)
 		}
-		fmt.Fprintln(w)
 	}
-	type goneKey struct {
-		n coherent.NodeID
-		b coherent.BlockID
+	b = appendNodeBlockValues(b, 2, e.gone)
+	return appendNodeBlockValues(b, 3, e.seqs)
+}
+
+// appendNodeBlockValues appends one tagged record per entry of the
+// per-node maps, in (block, node) order.
+func appendNodeBlockValues(b []byte, tag byte, perNode []map[coherent.BlockID]uint64) []byte {
+	for _, k := range sortedNodeBlocks(perNode) {
+		b = coherent.AppendBlock(coherent.AppendNode(append(b, tag), k.n), k.b)
+		b = binary.AppendUvarint(b, perNode[k.n][k.b])
 	}
-	collect := func(maps []map[coherent.BlockID]uint64) []goneKey {
-		var out []goneKey
-		for n, mm := range maps {
-			for b := range mm {
-				out = append(out, goneKey{n: coherent.NodeID(n), b: b})
-			}
-		}
-		sort.Slice(out, func(i, j int) bool {
-			if out[i].b != out[j].b {
-				return out[i].b < out[j].b
-			}
-			return out[i].n < out[j].n
-		})
-		return out
-	}
-	for _, k := range collect(e.gone) {
-		fmt.Fprintf(w, "gone n%d b%d = %d\n", k.n, k.b, e.gone[k.n][k.b])
-	}
-	for _, k := range collect(e.seqs) {
-		fmt.Fprintf(w, "seq n%d b%d = %d\n", k.n, k.b, e.seqs[k.n][k.b])
-	}
+	return b
 }
 
 // CoverageRoots implements coherent.CoverageEnumerator.
@@ -93,59 +91,56 @@ func (e *SLL) CoverageEdges(m *coherent.Machine, b coherent.BlockID, n coherent.
 // Tombstones are part of the canonical state: they steer in-flight
 // purges around replaced nodes. Tombstones come from the per-node
 // maps and attaches from the home-resident entries; this quiesced
-// reader renders both in (block, node) order.
-func (e *SCI) CanonState(w io.Writer) {
+// reader encodes both in (block, node) order.
+func (e *SCI) CanonState(w io.Writer) { coherent.EncodeCanon(w, e.appendCanon) }
+
+func (e *SCI) appendCanon(b []byte) []byte {
 	blocks := e.m.DirBlocks()
-	for _, b := range blocks {
-		en, _ := e.m.Dir(b).(*sciEntry)
+	for _, blk := range blocks {
+		en, _ := e.m.Dir(blk).(*sciEntry)
 		if en == nil {
 			continue
 		}
 		if en.state == uncached && en.head == coherent.NoNode && en.owner == coherent.NoNode && en.pend == nil {
 			continue
 		}
-		fmt.Fprintf(w, "dir b%d %s head%d owner%d", b, en.state, en.head, en.owner)
+		b = coherent.AppendBlock(append(b, 1), blk)
+		b = append(b, byte(en.state))
+		b = coherent.AppendNode(b, en.head)
+		b = coherent.AppendNode(b, en.owner)
+		b = coherent.AppendBool(b, en.pend != nil)
 		if p := en.pend; p != nil {
-			fmt.Fprintf(w, " pend{%s}", p.req.Canon())
-		}
-		fmt.Fprintln(w)
-	}
-	var tombs []tombKey
-	for n, mm := range e.tombs {
-		for b := range mm {
-			tombs = append(tombs, tombKey{n: coherent.NodeID(n), b: b})
+			b = p.req.AppendCanon(b)
 		}
 	}
-	sort.Slice(tombs, func(i, j int) bool {
-		if tombs[i].b != tombs[j].b {
-			return tombs[i].b < tombs[j].b
-		}
-		return tombs[i].n < tombs[j].n
-	})
-	for _, k := range tombs {
-		fmt.Fprintf(w, "tomb n%d b%d -> %d\n", k.n, k.b, e.tombs[k.n][k.b])
+	for _, k := range sortedNodeBlocks(e.tombs) {
+		b = coherent.AppendBlock(coherent.AppendNode(append(b, 2), k.n), k.b)
+		b = coherent.AppendNode(b, e.tombs[k.n][k.b])
 	}
-	for _, b := range blocks {
-		en, _ := e.m.Dir(b).(*sciEntry)
+	for _, blk := range blocks {
+		en, _ := e.m.Dir(blk).(*sciEntry)
 		if en == nil {
 			continue
 		}
 		for _, r := range sortedAttachers(en.attach) {
-			fmt.Fprintf(w, "attach n%d b%d -> %d\n", r, b, en.attach[r])
+			b = coherent.AppendBlock(coherent.AppendNode(append(b, 3), r), blk)
+			b = coherent.AppendNode(b, en.attach[r])
 		}
 	}
 	// The home-resident links are authoritative for eviction splices,
 	// so two states differing only in links can behave differently.
-	for _, b := range blocks {
-		en, _ := e.m.Dir(b).(*sciEntry)
+	for _, blk := range blocks {
+		en, _ := e.m.Dir(blk).(*sciEntry)
 		if en == nil {
 			continue
 		}
 		for _, r := range sortedLinkNodes(en.links) {
 			lk := en.links[r]
-			fmt.Fprintf(w, "link n%d b%d prev%d next%d\n", r, b, lk.prev, lk.next)
+			b = coherent.AppendBlock(coherent.AppendNode(append(b, 4), r), blk)
+			b = coherent.AppendNode(coherent.AppendNode(b, lk.prev), lk.next)
 		}
 	}
+	return b
 }
 
 // CoverageRoots implements coherent.CoverageEnumerator.
@@ -182,6 +177,24 @@ func headOwnerRoots(head, owner coherent.NodeID) []coherent.NodeID {
 		roots = append(roots, owner)
 	}
 	return roots
+}
+
+// sortedNodeBlocks lists the (node, block) keys of per-node maps in
+// (block, node) order.
+func sortedNodeBlocks[V any](perNode []map[coherent.BlockID]V) []tombKey {
+	var out []tombKey
+	for n, mm := range perNode {
+		for b := range mm {
+			out = append(out, tombKey{n: coherent.NodeID(n), b: b})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].b != out[j].b {
+			return out[i].b < out[j].b
+		}
+		return out[i].n < out[j].n
+	})
+	return out
 }
 
 func sortedLinkNodes(links map[coherent.NodeID]sciLink) []coherent.NodeID {

@@ -1,7 +1,7 @@
 package stp
 
 import (
-	"fmt"
+	"encoding/binary"
 	"io"
 	"sort"
 
@@ -12,34 +12,51 @@ import (
 
 // Verification hooks for the model checker (internal/check).
 
-func (meta *stpMeta) String() string {
-	return fmt.Sprintf("ch%v cnt%v", meta.children, meta.counts)
+// AppendCanon implements coherent.CanonAppender.
+func (meta *stpMeta) AppendCanon(b []byte) []byte {
+	for i := range meta.children {
+		b = coherent.AppendNode(b, meta.children[i])
+		b = binary.AppendVarint(b, int64(meta.counts[i]))
+	}
+	return b
 }
 
 // CanonState implements coherent.ProtocolState: directory entries,
 // in-progress ack aggregations, and victim-buffer tombstones.
-func (e *Engine) CanonState(w io.Writer) {
-	for _, b := range e.m.DirBlocks() {
-		en, _ := e.m.Dir(b).(*entry)
+func (e *Engine) CanonState(w io.Writer) { coherent.EncodeCanon(w, e.appendCanon) }
+
+func (e *Engine) appendCanon(b []byte) []byte {
+	for _, blk := range e.m.DirBlocks() {
+		en, _ := e.m.Dir(blk).(*entry)
 		if en == nil {
 			continue
 		}
 		if en.state == uncached && en.root == coherent.NoNode && en.owner == coherent.NoNode && en.pend == nil {
 			continue
 		}
-		fmt.Fprintf(w, "dir b%d %s root%d owner%d", b, en.state, en.root, en.owner)
+		b = coherent.AppendBlock(append(b, 1), blk)
+		b = append(b, byte(en.state))
+		b = coherent.AppendNode(b, en.root)
+		b = coherent.AppendNode(b, en.owner)
+		b = coherent.AppendBool(b, en.pend != nil)
 		if p := en.pend; p != nil {
-			fmt.Fprintf(w, " pend{%s acks%d}", p.req.Canon(), p.acksLeft)
+			b = p.req.AppendCanon(b)
+			b = binary.AppendVarint(b, int64(p.acksLeft))
 		}
-		fmt.Fprintln(w)
 	}
 	for _, k := range sortedAggKeys(e.aggs) {
 		a := e.aggs[k.n][k.b]
-		fmt.Fprintf(w, "agg n%d b%d armed%v left%d to%d dir%v\n", k.n, k.b, a.armed, a.left, a.to, a.toDir)
+		b = coherent.AppendBlock(coherent.AppendNode(append(b, 2), k.n), k.b)
+		b = coherent.AppendBool(b, a.armed)
+		b = binary.AppendVarint(b, int64(a.left))
+		b = coherent.AppendNode(b, a.to)
+		b = coherent.AppendBool(b, a.toDir)
 	}
 	for _, k := range sortedTombKeys(e.tombs) {
-		fmt.Fprintf(w, "tomb n%d b%d -> %v\n", k.n, k.b, e.tombs[k.n][k.b])
+		b = coherent.AppendBlock(coherent.AppendNode(append(b, 3), k.n), k.b)
+		b = coherent.AppendNodes(b, e.tombs[k.n][k.b])
 	}
+	return b
 }
 
 // CoverageRoots implements coherent.CoverageEnumerator.
